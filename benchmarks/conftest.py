@@ -1,15 +1,17 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables/figures (or one of the
-ablations called out in DESIGN.md) and prints the regenerated rows next to
-the paper's published numbers, so running::
+Every benchmark regenerates one of the paper's tables/figures (or an
+ablation of one of its design choices, such as the cone angle alpha) and
+prints the regenerated rows next to the paper's published numbers, so
+running::
 
     pytest benchmarks/ --benchmark-only -s
 
 shows the full paper-vs-measured comparison while also timing each harness.
 The benchmarks use reduced workload sizes (e.g. 10 random networks instead of
 the paper's 100) so the whole suite completes in a few minutes; the averages
-are already stable at that size.  ``EXPERIMENTS.md`` records a full-size run.
+are already stable at that size.  ``cbtc table1 --networks 100`` runs Table 1
+at the paper's full size.
 """
 
 import pytest

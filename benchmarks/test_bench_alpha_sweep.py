@@ -1,6 +1,6 @@
 """Ablation benchmark: sweep the cone angle alpha.
 
-DESIGN.md calls out the alpha choice as the central design parameter: the
+The cone angle alpha is CBTC's central design parameter: the
 paper proves 5*pi/6 is the largest safe value and discusses the trade-off
 against 2*pi/3 (Section 3.2).  The sweep shows degree and radius shrinking as
 alpha grows, full connectivity preservation up to 5*pi/6, and (on random

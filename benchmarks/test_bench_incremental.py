@@ -8,7 +8,8 @@ density (region side grows with sqrt(n)):
   route caching (``ScenarioRunner(spec, seed)``);
 * **full rebuild** — the historic epoch loop: per-pair O(n^2) event
   detection and a from-scratch ``build_topology`` every epoch
-  (``ScenarioRunner(spec, seed, incremental=False)``).
+  (``ScenarioRunner(spec, seed, incremental=False)`` run under
+  ``tests.oracle.oracle_event_detection()``).
 
 Both must produce byte-identical serialized results (asserted per cell);
 the ``mover_fraction`` axis controls how much of the population drifts per
@@ -30,6 +31,7 @@ import pytest
 from repro.io.results import results_to_json
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import MobilitySpec, PlacementSpec, ScenarioSpec
+from tests.oracle import oracle_event_detection
 
 ALPHA = 5 * math.pi / 6
 
@@ -77,7 +79,8 @@ def _timed_epoch_loop(spec: ScenarioSpec, *, incremental: bool):
 def test_bench_incremental_vs_full_rebuild(benchmark, print_section, node_count, mover_fraction):
     spec = _drift_spec(node_count, mover_fraction)
 
-    full_result, full_seconds = _timed_epoch_loop(spec, incremental=False)
+    with oracle_event_detection():
+        full_result, full_seconds = _timed_epoch_loop(spec, incremental=False)
 
     state = {}
 

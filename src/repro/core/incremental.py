@@ -36,9 +36,8 @@ outcome=outcome)``.  This is enforced by ``tests/core/test_incremental.py``
 and by the scenario-level equivalence battery.
 
 Full-rebuild fallback: the builder falls back to a from-scratch build when
-(a) it has no previous result, (b) the dirty region covers most of the
-network (splicing would cost more than rebuilding), or (c) the network has
-its spatial index disabled (witness discovery needs it).
+it has no previous result, or when the dirty region covers most of the
+network (splicing would cost more than rebuilding).
 """
 
 from __future__ import annotations
@@ -249,9 +248,6 @@ class IncrementalTopologyBuilder:
         self.dirty_size_hist.observe(len(dirty))
         network, config = self.network, self.config
         if outcome is None:
-            if not network.use_spatial_index:
-                self.fallbacks += 1
-                return self.rebuild()
             expanded = self._recompute_cbtc(dirty)
             if expanded is None:
                 self.fallbacks += 1

@@ -18,7 +18,7 @@ for alpha = 5*pi/6 and alpha = 2*pi/3.  ``run_table1`` regenerates every row
 and also reports the intermediate value quoted in the running text (the
 average radius 301.2 of the asymmetric-removal-only configuration at
 2*pi/3 — our "with op1 and op2" column).  ``TABLE1_PAPER_VALUES`` records
-the paper's numbers so benchmarks and EXPERIMENTS.md can show
+the paper's numbers so the benchmarks and ``cbtc table1`` can show
 paper-vs-measured side by side.
 """
 

@@ -44,7 +44,7 @@ except ImportError:  # pragma: no cover - the test image always has numpy
 
 #: Absolute slack added to every distance comparison, matching the
 #: ``d <= radius + 1e-12`` convention used throughout the reproduction
-#: (``Network.neighbors_within``, ``_candidate_neighbors``, the baselines).
+#: (``Network.neighbors_within``, CBTC's candidate lists, the baselines).
 DISTANCE_TOLERANCE = 1e-12
 
 Coordinate = Tuple[float, float]

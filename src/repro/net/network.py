@@ -102,20 +102,17 @@ class Network:
     :meth:`add_node`/:meth:`remove_node` report directly — the matching
     delta update is applied to the index, the per-entry dirty sets of the
     :class:`DerivedDataCache` grow, and every registered dirty listener
-    records the node ID.  ``use_spatial_index=False`` forces every query
-    back onto the brute-force scans (used by the equivalence tests and as
-    an escape hatch).
+    records the node ID.  Queries over alive nodes always go through the
+    index; the brute-force definitions they must match live in the test
+    suite's oracle.
     """
 
     def __init__(
         self,
         nodes: Iterable[Node],
         power_model: Optional[PowerModel] = None,
-        *,
-        use_spatial_index: bool = True,
     ) -> None:
         self.power_model = power_model if power_model is not None else default_power_model()
-        self.use_spatial_index = use_spatial_index
         self._spatial_index: Optional[UniformGridIndex] = None
         self._derived_cache = DerivedDataCache()
         self._dirty_listeners: List[Set[NodeId]] = []
@@ -134,8 +131,6 @@ class Network:
         cls,
         positions: Sequence[Tuple[float, float]],
         power_model: Optional[PowerModel] = None,
-        *,
-        use_spatial_index: bool = True,
     ) -> "Network":
         """Build a network from a sequence of ``(x, y)`` coordinates.
 
@@ -143,19 +138,17 @@ class Network:
         labelling in the paper's Figure 6 plots.
         """
         nodes = [Node(node_id=i, position=Point(float(x), float(y))) for i, (x, y) in enumerate(positions)]
-        return cls(nodes, power_model=power_model, use_spatial_index=use_spatial_index)
+        return cls(nodes, power_model=power_model)
 
     @classmethod
     def from_points(
         cls,
         points: Sequence[Point],
         power_model: Optional[PowerModel] = None,
-        *,
-        use_spatial_index: bool = True,
     ) -> "Network":
         """Build a network from a sequence of :class:`Point` objects."""
         nodes = [Node(node_id=i, position=p) for i, p in enumerate(points)]
-        return cls(nodes, power_model=power_model, use_spatial_index=use_spatial_index)
+        return cls(nodes, power_model=power_model)
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -321,41 +314,29 @@ class Network:
         default, crashed nodes.
         """
         sender_node = self.node(sender)
-        if self.use_spatial_index and not include_dead:
-            # Over-approximate the reception radius, then apply the exact
-            # ``reaches_with`` predicate so results match the linear scan
-            # bit for bit.  ``range_for_power`` clamps to the maximum range,
-            # which is safe because ``reaches_with`` requires ``can_reach``.
-            query_radius = self.power_model.range_for_power(power * (1.0 + 1e-9)) + 1e-9
-            reaches = self.power_model.reaches_with
-            sender_position = sender_node.position
+        reaches = self.power_model.reaches_with
+        if include_dead:
             return [
-                node_id
-                for node_id, dist in self.spatial_index().neighbors_with_distances(
-                    sender_position, query_radius, exclude=sender
-                )
-                if reaches(power, dist)
+                node.node_id
+                for node in self.nodes
+                if node.node_id != sender and reaches(power, sender_node.distance_to(node))
             ]
-        receivers = []
-        for node in self.nodes:
-            if node.node_id == sender:
-                continue
-            if not include_dead and not node.alive:
-                continue
-            if self.power_model.reaches_with(power, sender_node.distance_to(node)):
-                receivers.append(node.node_id)
-        return receivers
+        # Over-approximate the reception radius, then apply the exact
+        # ``reaches_with`` predicate so results match the linear scan bit
+        # for bit.  ``range_for_power`` clamps to the maximum range, which is
+        # safe because ``reaches_with`` requires ``can_reach``.
+        query_radius = self.power_model.range_for_power(power * (1.0 + 1e-9)) + 1e-9
+        return [
+            node_id
+            for node_id, dist in self.spatial_index().neighbors_with_distances(
+                sender_node.position, query_radius, exclude=sender
+            )
+            if reaches(power, dist)
+        ]
 
     def neighbors_within(self, node_id: NodeId, radius: float) -> List[NodeId]:
-        """Node IDs within ``radius`` of the given node (excluding itself)."""
-        center = self.node(node_id)
-        if self.use_spatial_index:
-            return self.spatial_index().neighbors_within(center.position, radius, exclude=node_id)
-        return [
-            n.node_id
-            for n in self.nodes
-            if n.node_id != node_id and n.alive and center.distance_to(n) <= radius + 1e-12
-        ]
+        """Alive node IDs within ``radius`` of the given node (excluding itself)."""
+        return self.spatial_index().neighbors_within(self.node(node_id).position, radius, exclude=node_id)
 
     # ------------------------------------------------------------------ #
     # Reference graphs
@@ -371,7 +352,7 @@ class Network:
         for node in candidates:
             graph.add_node(node.node_id, pos=node.position.as_tuple())
         max_range = self.power_model.max_range
-        if self.use_spatial_index and not include_dead:
+        if not include_dead:
             for u, v, d in self.spatial_index().pairs_within(max_range):
                 graph.add_edge(u, v, length=d)
             return graph
@@ -400,4 +381,4 @@ class Network:
             Node(node_id=n.node_id, position=Point(n.position.x, n.position.y), alive=n.alive, label=n.label)
             for n in self.nodes
         ]
-        return Network(nodes, power_model=self.power_model, use_spatial_index=self.use_spatial_index)
+        return Network(nodes, power_model=self.power_model)

@@ -2,7 +2,8 @@
 
 Each test pins a fix from the determinism sweep by exercising the code
 path under two different construction histories (insertion order, spatial
-index on/off) and requiring *bitwise* equal results.  The first test
+index versus the brute-force scan in ``tests/oracle.py``) and requiring
+*bitwise* equal results.  The first test
 documents why this is not paranoia: float addition is not associative, so
 an aggregate summed in container order is a different number depending on
 how the container happened to be filled.
@@ -17,15 +18,14 @@ from repro.io.graphs import graph_to_dict
 from repro.net.energy import EnergyLedger
 from repro.net.network import Network
 from repro.radio import PathLossModel, PowerModel
+from tests import oracle
 
 import networkx as nx
 
 
-def _network(points, max_range=10.0, use_spatial_index=True):
+def _network(points, max_range=10.0):
     power_model = PowerModel(propagation=PathLossModel(), max_range=max_range)
-    return Network.from_points(
-        points, power_model=power_model, use_spatial_index=use_spatial_index
-    )
+    return Network.from_points(points, power_model=power_model)
 
 
 def test_float_addition_is_not_associative():
@@ -83,12 +83,10 @@ class TestConeBaselineTiebreaks:
         # Nodes 1 and 2 are both at distance exactly 5 from node 0 and,
         # with k=1, compete in the same cone.  The winner must be node 1
         # (the id tie-break), never "whichever candidate was enumerated
-        # first" — which is what made spatial-index on/off diverge.
+        # first" — which is what made the index and the scan diverge.
         points = [Point(0.0, 0.0), Point(3.0, 4.0), Point(4.0, 3.0)]
-        graphs = [
-            yao_graph(_network(points, use_spatial_index=flag), k=1)
-            for flag in (True, False)
-        ]
+        network = _network(points)
+        graphs = [yao_graph(network, k=1), oracle.yao_graph(network, k=1)]
         for graph in graphs:
             assert graph.has_edge(0, 1)
             assert not graph.has_edge(0, 2)
@@ -101,10 +99,8 @@ class TestConeBaselineTiebreaks:
         # Nodes 1 and 2 sit symmetrically about the single cone's bisector
         # at equal distance, so their bisector projections tie exactly.
         points = [Point(0.0, 0.0), Point(-3.0, 4.0), Point(-3.0, -4.0)]
-        graphs = [
-            theta_graph(_network(points, use_spatial_index=flag), k=1)
-            for flag in (True, False)
-        ]
+        network = _network(points)
+        graphs = [theta_graph(network, k=1), oracle.theta_graph(network, k=1)]
         for graph in graphs:
             assert graph.has_edge(0, 1)
         first, second = (

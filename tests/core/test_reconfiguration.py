@@ -17,6 +17,7 @@ from repro.core.reconfiguration import (
 from repro.geometry import Point
 from repro.net.node import Node
 from repro.net.placement import PlacementConfig, random_uniform_placement
+from tests import oracle
 
 ALPHA = 5 * math.pi / 6
 
@@ -231,7 +232,8 @@ class TestTopologyMemoization:
             moved = network.node(network.node_ids[step])
             moved.move_to(Point(200.0 + 40 * step, 300.0))
             incremental_manager.synchronize()
-            full_manager.synchronize(accelerated=False)
+            with oracle.oracle_event_detection():
+                full_manager.synchronize()
             a = incremental_manager.topology(config=OptimizationConfig.shrink_only())
             b = full_manager.topology(
                 config=OptimizationConfig.shrink_only(), incremental=False

@@ -3,9 +3,9 @@
 The uniform-grid index must be a pure accelerator: every construction that
 uses it (CBTC, the proximity-graph baselines, the reference graphs) has to
 produce *identical* output — same edges, same float lengths, same per-node
-radii/powers — as the brute-force scans it replaced.  These tests build twin
-networks over the same positions, one with ``use_spatial_index=True`` and
-one with ``False``, and compare outputs exactly (no tolerances).
+radii/powers — as the brute-force definitions in ``tests/oracle.py``.  These
+tests run production and the oracle over the same positions and compare
+outputs exactly (no tolerances).
 """
 
 import math
@@ -26,19 +26,15 @@ from repro.graphs.builders import unit_disk_graph
 from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.placement import PlacementConfig, random_uniform_placement
+from tests import oracle
 
 ALPHA = 5 * math.pi / 6
 
 SEEDS = [0, 1, 2, 13]
 
 
-def _twin_networks(seed, node_count=40):
-    """Two networks over identical positions: index-backed and brute-force."""
-    base = random_uniform_placement(PlacementConfig(node_count=node_count), seed=seed)
-    positions = [node.position.as_tuple() for node in base.nodes]
-    indexed = Network.from_positions(positions, power_model=base.power_model, use_spatial_index=True)
-    brute = Network.from_positions(positions, power_model=base.power_model, use_spatial_index=False)
-    return indexed, brute
+def _network(seed, node_count=40):
+    return random_uniform_placement(PlacementConfig(node_count=node_count), seed=seed)
 
 
 def _edge_map(graph):
@@ -56,9 +52,9 @@ def _assert_identical_graphs(left, right):
 class TestCBTCEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_outcomes_identical_with_and_without_index(self, seed):
-        indexed, brute = _twin_networks(seed)
-        with_index = run_cbtc(indexed, ALPHA)
-        without_index = run_cbtc(brute, ALPHA)
+        network = _network(seed)
+        with_index = run_cbtc(network, ALPHA)
+        without_index = oracle.cbtc_outcome(network, ALPHA)
         assert with_index.node_ids() == without_index.node_ids()
         for node_id in with_index.node_ids():
             a = with_index.state(node_id)
@@ -76,20 +72,21 @@ class TestCBTCEquivalence:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_full_pipeline_topologies_identical(self, seed):
-        indexed, brute = _twin_networks(seed)
-        a = build_topology(indexed, ALPHA, config=OptimizationConfig.all())
-        b = build_topology(brute, ALPHA, config=OptimizationConfig.all())
+        network = _network(seed)
+        config = OptimizationConfig.all()
+        a = build_topology(network, ALPHA, config=config)
+        b = build_topology(network, ALPHA, config=config, outcome=oracle.cbtc_outcome(network, ALPHA))
         _assert_identical_graphs(a.graph, b.graph)
         assert a.node_radius == b.node_radius
         assert a.node_power == b.node_power
 
     def test_equivalence_with_dead_nodes(self):
-        indexed, brute = _twin_networks(5)
+        network = _network(5)
         for node_id in (3, 11, 17):
-            indexed.node(node_id).crash()
-            brute.node(node_id).crash()
-        a = build_topology(indexed, ALPHA, config=OptimizationConfig.all())
-        b = build_topology(brute, ALPHA, config=OptimizationConfig.all())
+            network.node(node_id).crash()
+        config = OptimizationConfig.all()
+        a = build_topology(network, ALPHA, config=config)
+        b = build_topology(network, ALPHA, config=config, outcome=oracle.cbtc_outcome(network, ALPHA))
         _assert_identical_graphs(a.graph, b.graph)
 
 
@@ -97,92 +94,93 @@ class TestBaselineEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("respect_max_range", [True, False])
     def test_gabriel(self, seed, respect_max_range):
-        indexed, brute = _twin_networks(seed)
+        network = _network(seed)
         _assert_identical_graphs(
-            gabriel_graph(indexed, respect_max_range=respect_max_range),
-            gabriel_graph(brute, respect_max_range=respect_max_range),
+            gabriel_graph(network, respect_max_range=respect_max_range),
+            oracle.gabriel_graph(network, respect_max_range=respect_max_range),
         )
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("respect_max_range", [True, False])
     def test_rng(self, seed, respect_max_range):
-        indexed, brute = _twin_networks(seed)
+        network = _network(seed)
         _assert_identical_graphs(
-            relative_neighborhood_graph(indexed, respect_max_range=respect_max_range),
-            relative_neighborhood_graph(brute, respect_max_range=respect_max_range),
+            relative_neighborhood_graph(network, respect_max_range=respect_max_range),
+            oracle.relative_neighborhood_graph(network, respect_max_range=respect_max_range),
         )
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_mst_range_limited(self, seed):
-        indexed, brute = _twin_networks(seed)
+        network = _network(seed)
         _assert_identical_graphs(
-            euclidean_mst(indexed, respect_max_range=True),
-            euclidean_mst(brute, respect_max_range=True),
+            euclidean_mst(network, respect_max_range=True),
+            oracle.euclidean_mst(network, respect_max_range=True),
         )
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_mst_complete_via_delaunay_candidates(self, seed):
         # Random placements have distinct pairwise distances, so the
         # Euclidean MST is unique and the Delaunay-restricted Kruskal must
-        # return exactly the brute-force tree.
-        indexed, brute = _twin_networks(seed)
+        # return exactly the dense tree.
+        network = _network(seed)
         _assert_identical_graphs(
-            euclidean_mst(indexed, respect_max_range=False),
-            euclidean_mst(brute, respect_max_range=False),
+            euclidean_mst(network, respect_max_range=False),
+            oracle.euclidean_mst(network, respect_max_range=False),
         )
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_yao_and_theta(self, seed):
-        indexed, brute = _twin_networks(seed)
-        _assert_identical_graphs(yao_graph(indexed, k=6), yao_graph(brute, k=6))
-        _assert_identical_graphs(theta_graph(indexed, k=6), theta_graph(brute, k=6))
+        network = _network(seed)
+        _assert_identical_graphs(yao_graph(network, k=6), oracle.yao_graph(network, k=6))
+        _assert_identical_graphs(theta_graph(network, k=6), oracle.theta_graph(network, k=6))
 
     def test_mst_with_near_coincident_points_stays_connected(self):
         # Qhull classifies points closer than its merge tolerance as
         # "coplanar" and omits them from the triangulation; the Delaunay
         # fast path must fall back to the dense edge set for such inputs.
         points = [Point(0.0, 0.0), Point(1e-14, 0.0), Point(1.0, 0.5), Point(0.5, 1.0), Point(0.3, 0.4)]
-        indexed = Network.from_points(points, use_spatial_index=True)
-        brute = Network.from_points(points, use_spatial_index=False)
+        network = Network.from_points(points)
         _assert_identical_graphs(
-            euclidean_mst(indexed, respect_max_range=False),
-            euclidean_mst(brute, respect_max_range=False),
+            euclidean_mst(network, respect_max_range=False),
+            oracle.euclidean_mst(network, respect_max_range=False),
         )
 
-    def test_explicit_use_index_flag_overrides_network_default(self):
-        indexed, _ = _twin_networks(3)
-        _assert_identical_graphs(
-            gabriel_graph(indexed, use_index=False),
-            gabriel_graph(indexed, use_index=True),
-        )
+    def test_gabriel_on_a_warm_index_matches_oracle(self):
+        # The index is built once and reused by later constructions; a
+        # graph built from a warm (already queried) index must not differ.
+        network = _network(3)
+        network.max_power_graph()
+        _assert_identical_graphs(gabriel_graph(network), oracle.gabriel_graph(network))
 
 
 class TestNetworkQueryEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_max_power_graph(self, seed):
-        indexed, brute = _twin_networks(seed)
-        _assert_identical_graphs(indexed.max_power_graph(), brute.max_power_graph())
+        network = _network(seed)
+        _assert_identical_graphs(network.max_power_graph(), oracle.max_power_graph(network))
 
     @pytest.mark.parametrize("radius", [0.0, 120.0, 500.0, 900.0])
     def test_neighbors_within(self, radius):
-        indexed, brute = _twin_networks(7)
-        for node_id in indexed.node_ids:
-            assert indexed.neighbors_within(node_id, radius) == brute.neighbors_within(node_id, radius)
+        network = _network(7)
+        for node_id in network.node_ids:
+            assert network.neighbors_within(node_id, radius) == oracle.neighbors_within(
+                network, node_id, radius
+            )
 
     @pytest.mark.parametrize("radius", [130.0, 750.0])
     def test_unit_disk_graph_custom_radius(self, radius):
-        indexed, brute = _twin_networks(9)
+        network = _network(9)
         _assert_identical_graphs(
-            unit_disk_graph(indexed, radius), unit_disk_graph(brute, radius)
+            unit_disk_graph(network, radius), oracle.unit_disk_graph(network, radius)
         )
 
     def test_receivers_of_broadcast(self):
-        indexed, brute = _twin_networks(4)
-        max_power = indexed.power_model.max_power
+        network = _network(4)
+        max_power = network.power_model.max_power
         for power in (0.0, max_power / 64, max_power / 4, max_power, 2 * max_power):
-            for sender in indexed.node_ids[:10]:
-                assert indexed.receivers_of_broadcast(sender, power) == brute.receivers_of_broadcast(
-                    sender, power
+            for sender in network.node_ids[:10]:
+                assert network.receivers_of_broadcast(sender, power) == oracle.receivers_of_broadcast(
+                    network, sender, power
                 )
 
 
@@ -218,11 +216,12 @@ class TestIndexInvalidation:
         assert network._spatial_index is not None
         assert network.neighbors_within(0, 1.0) == []
 
-    def test_copy_preserves_flag_and_isolates_index(self):
-        indexed, brute = _twin_networks(2, node_count=10)
-        assert indexed.copy().use_spatial_index is True
-        assert brute.copy().use_spatial_index is False
-        duplicate = indexed.copy()
+    def test_copy_isolates_index(self):
+        network = _network(2, node_count=10)
+        max_range = network.power_model.max_range
+        before = network.neighbors_within(0, max_range)
+        duplicate = network.copy()
         duplicate.node(0).move_to(Point(-1e4, -1e4))
-        assert indexed.neighbors_within(0, indexed.power_model.max_range) == \
-            indexed.copy().neighbors_within(0, indexed.power_model.max_range)
+        assert duplicate.neighbors_within(0, max_range) == []
+        assert network.neighbors_within(0, max_range) == before
+        assert network.copy().neighbors_within(0, max_range) == before

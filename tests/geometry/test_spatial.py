@@ -62,7 +62,7 @@ class TestNeighborsWithin:
         assert without == [k for k in full if k != 0]
 
     def test_boundary_point_at_exact_radius_included(self):
-        # Matches the `<= r + 1e-12` tolerance used by _candidate_neighbors
+        # Matches the `<= r + 1e-12` tolerance of the brute-force scans in tests/oracle.py
         # and Network.neighbors_within: exactly-at-range points count.
         index = UniformGridIndex(1.0, [(0, (0.0, 0.0)), (1, (3.0, 0.0)), (2, (0.0, 3.0))])
         assert index.neighbors_within((0.0, 0.0), 3.0) == [0, 1, 2]

@@ -4,8 +4,10 @@ The acceptance contract of the incremental pipeline: for every scenario, the
 incremental epoch loop (shared-geometry synchronization, dirty-set topology
 splicing, route caching) produces results **byte-identical** — through
 ``repro.io.results`` serialization, traffic reports included — to the
-historic full-rebuild loop.  Enforced here over the entire scenario
-catalogue and over hypothesis-generated random churn/mobility schedules.
+historic full-rebuild loop: a full ``build_topology`` every epoch, with
+events detected by the per-pair scan of ``tests/oracle.py``.  Enforced here
+over the entire scenario catalogue and over hypothesis-generated random
+churn/mobility schedules.
 """
 
 import math
@@ -25,13 +27,15 @@ from repro.scenarios.spec import (
     ScenarioSpec,
 )
 from repro.traffic.spec import TrafficSpec
+from tests.oracle import oracle_event_detection
 
 ALPHA = 5 * math.pi / 6
 
 
 def _serialized_runs(spec, seed):
     incremental = results_to_json(run_scenario(spec, seed, incremental=True))
-    full = results_to_json(run_scenario(spec, seed, incremental=False))
+    with oracle_event_detection():
+        full = results_to_json(run_scenario(spec, seed, incremental=False))
     return incremental, full
 
 
@@ -47,7 +51,8 @@ class TestCatalogueEquivalence:
     def test_traffic_reports_identical_per_epoch(self):
         spec = SCENARIOS["hotspot-traffic"].scaled(epochs=3)
         a = run_scenario(spec, 2, incremental=True)
-        b = run_scenario(spec, 2, incremental=False)
+        with oracle_event_detection():
+            b = run_scenario(spec, 2, incremental=False)
         for epoch_a, epoch_b in zip(a.epochs, b.epochs):
             assert results_to_json(epoch_a.traffic) == results_to_json(epoch_b.traffic)
 
