@@ -22,11 +22,18 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Set, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
-from repro.geometry.angles import TWO_PI, angular_gaps_of_sorted, arcs_equal, cover
+from repro.geometry.angles import (
+    TWO_PI,
+    angular_gaps_of_sorted,
+    arcs_equal,
+    cover,
+    max_angular_gap_of_sorted,
+)
 from repro.net.network import Network
 from repro.net.node import NodeId
 from repro.core.constants import (
@@ -39,82 +46,135 @@ from repro.core.state import CBTCOutcome, NodeState
 # --------------------------------------------------------------------------- #
 # Shrink-back (op1)
 # --------------------------------------------------------------------------- #
-def _coverage_matches(
-    kept_directions: List[float],
-    original_arcs: List[Tuple[float, float]],
-    original_is_full_circle: bool,
-    alpha: float,
-) -> bool:
-    """Whether ``cover(kept_directions)`` equals the original coverage.
+#: The literal ``cover`` returns for a fully covered circle.
+_FULL_CIRCLE = [(0.0, TWO_PI)]
 
-    Equivalent to ``arcs_equal(cover(kept_directions, alpha), original_arcs)``
-    but with a gap-based fast path for the overwhelmingly common case where
-    the original coverage is the full circle (every non-boundary node): the
-    prefix covers the full circle iff its largest angular gap is at most
-    ``alpha`` (+ the 1e-12 tolerance ``cover`` uses), and it can only *look*
-    fully covered to ``arcs_equal``'s 1e-9 arc tolerance when exactly one
-    gap exceeds ``alpha`` by less than ~2e-9 — only that rare corner pays
-    for a real arc merge.
+
+def _arc_length(arcs: List[Tuple[float, float]]) -> float:
+    return sum(end - start for start, end in arcs)
+
+
+def _prefix_verdict(
+    kept_sorted: List[float],
+    original_arcs: List[Tuple[float, float]],
+    original_length: Optional[float],
+    alpha: float,
+) -> Tuple[bool, bool]:
+    """``(matches, certified)`` for one candidate prefix of shrink-back.
+
+    ``kept_sorted`` holds the prefix's directions, sorted.  ``matches`` is
+    ``arcs_equal(cover(kept_sorted, alpha), original_arcs)``, the coverage
+    comparison of Section 3.1.  ``original_length`` is ``None`` when the
+    original coverage is the full circle (every non-boundary node), else its
+    total arc length.  ``certified`` is set only on a failing prefix and
+    proves that every *smaller* prefix (a subset of its directions) fails
+    too:
+
+    * Full circle: the prefix covers it iff its largest gap is at most
+      ``alpha`` (+ the 1e-12 tolerance ``cover`` uses).  Adding directions
+      only splits gaps, and float subtraction is monotone, so every subset's
+      largest gap is at least ``min(gap, 2*pi)`` (one direction has gap
+      ``2*pi``).  When that exceeds ``alpha`` by more than 2.5e-9 every
+      subset fails too; only a single gap at most 2.5e-9 over ``alpha`` can
+      look full to ``arcs_equal``'s 1e-9 arc tolerance, and only that corner
+      pays for a real arc merge.
+    * Boundary: covers nest, so a subset's arcs are never longer in total.
+      ``arcs_equal`` lets each endpoint move by 1e-9, so a match is at most
+      ``2e-9`` per arc shorter than the original; a prefix shorter by more
+      than ``1e-6`` plus that allowance certifies every subset fails.
     """
-    if not original_is_full_circle:
-        return arcs_equal(cover(kept_directions, alpha, normalized=True), original_arcs)
-    gaps = angular_gaps_of_sorted(sorted(kept_directions))
-    if max(gaps) <= alpha + 1e-12:
-        return True
-    oversized = [gap for gap in gaps if gap > alpha]
-    if len(oversized) != 1 or oversized[0] - alpha > 2.5e-9:
-        # cover() would produce one arc per oversized gap; more than one arc,
-        # or a single uncovered span wider than arcs_equal's tolerance, can
-        # never compare equal to the full circle.
-        return False
-    return arcs_equal(cover(kept_directions, alpha, normalized=True), original_arcs)
+    if original_length is None:
+        gap = max_angular_gap_of_sorted(kept_sorted)
+        if gap <= alpha + 1e-12:
+            return True, False
+        if min(gap, TWO_PI) - alpha > 2.5e-9:
+            return False, True
+        # cover() makes one arc per oversized gap, so two can never match.
+        oversized = [g for g in angular_gaps_of_sorted(kept_sorted) if g > alpha]
+        matches = (
+            len(oversized) == 1
+            and oversized[0] - alpha <= 2.5e-9
+            and arcs_equal(cover(kept_sorted, alpha, normalized=True), original_arcs)
+        )
+        return matches, False
+    arcs = cover(kept_sorted, alpha, normalized=True)
+    if arcs_equal(arcs, original_arcs):
+        return True, False
+    slack = 1e-6 + 2e-9 * len(original_arcs)
+    return False, _arc_length(arcs) < original_length - slack
 
 
 def shrink_back_node(state: NodeState) -> NodeState:
-    """Apply the shrink-back operation to a single node's state.
+    """Apply the shrink-back operation (Section 3.1) to a single node's state.
 
-    Neighbours are grouped by their discovery-power tag; starting from the
-    highest tag, whole groups are removed as long as the alpha-coverage of
-    the remaining directions equals the original coverage.  The node's final
-    power is reduced to the highest surviving tag (or the power needed to
-    reach the farthest surviving neighbour, whichever is larger).
+    Neighbours are grouped by their discovery-power tag; the result keeps
+    the neighbours of the smallest prefix of tags whose alpha-coverage
+    ``cover_alpha`` equals the original coverage (Theorem 3.1: connectivity
+    survives).  The node's final power is the power needed to reach the
+    farthest surviving neighbour.  Returns ``state`` itself only when it has
+    no neighbours; every other result is a new state.
+
+    The prefixes are scanned top-down, from all tags but the highest, and
+    the scan stops at the first prefix that fails: every larger prefix
+    matched, and :func:`_prefix_verdict` certifies that no smaller one can.
+    Without the certificate the prefixes below the failing one are scanned
+    bottom-up, as the definition reads.  Either way the answer is the
+    smallest matching prefix, the same one a plain bottom-up scan returns.
     """
     if not state.neighbors:
         return state
-    original_directions = state.directions
-    # The reference coverage is the same for every candidate prefix; compute
-    # its merged arcs once instead of once per keep_count.  Directions stored
-    # in neighbour records come from Point.angle_to, hence are normalized.
-    original_arcs = cover(original_directions, state.alpha, normalized=True)
-    # ``cover`` returns this exact literal for fully covered circles, so the
-    # comparison is an exact one (no tolerance games).
-    original_is_full_circle = original_arcs == [(0.0, TWO_PI)]
-    levels = sorted({record.discovery_power for record in state.neighbors.values()})
-    # Try to keep only the neighbours discovered at the first i levels, for the
-    # smallest i that preserves coverage.
-    for keep_count in range(1, len(levels) + 1):
+    alpha = state.alpha
+    # Sorted once; each prefix's sorted directions are a filter of this list.
+    # Directions stored in neighbour records come from Point.angle_to, hence
+    # are normalized.  The sort is stable on the direction alone, so ties
+    # keep insertion order exactly as sorting each prefix would.
+    tagged = sorted(
+        [(record.direction, record.discovery_power) for record in state.neighbors.values()],
+        key=itemgetter(0),
+    )
+    directions = [direction for direction, _ in tagged]
+    # The full-circle test cover() runs first.  A set failing it never merges
+    # into the full circle: its oversized gap dwarfs every rounding error.
+    if max_angular_gap_of_sorted(directions) <= alpha + 1e-12:
+        original_arcs, original_length = _FULL_CIRCLE, None
+    else:
+        original_arcs = cover(directions, alpha, normalized=True)
+        original_length = _arc_length(original_arcs)
+    levels = sorted({power for _, power in tagged})
+
+    def verdict(index: int) -> Tuple[bool, bool]:
         # Discovery tags are exactly the level values, so the prefix set
         # membership test reduces to a threshold comparison.
-        level_threshold = levels[keep_count - 1]
-        kept_records = [
-            record for record in state.neighbors.values() if record.discovery_power <= level_threshold
-        ]
-        kept_directions = [record.direction for record in kept_records]
-        if _coverage_matches(kept_directions, original_arcs, original_is_full_circle, state.alpha):
-            shrunk = NodeState(
-                node_id=state.node_id,
-                alpha=state.alpha,
-                final_power=max(
-                    max(record.required_power for record in kept_records),
-                    0.0,
-                ),
-                used_max_power=state.used_max_power,
-                rounds=state.rounds,
-            )
-            for record in kept_records:
-                shrunk.add_neighbor(record)
-            return shrunk
-    return state
+        threshold = levels[index]
+        kept_sorted = [direction for direction, power in tagged if power <= threshold]
+        return _prefix_verdict(kept_sorted, original_arcs, original_length, alpha)
+
+    # The whole neighbour set reproduces its own coverage.
+    smallest = len(levels) - 1
+    for index in range(smallest - 1, -1, -1):
+        matches, certified = verdict(index)
+        if matches:
+            smallest = index
+            continue
+        if not certified:
+            smallest = next((lower for lower in range(index) if verdict(lower)[0]), smallest)
+        break
+    threshold = levels[smallest]
+    # Each record sits under its own neighbour ID, so this keeps the order
+    # (and the records) add_neighbor would, one record at a time.
+    kept = {
+        record.neighbor: record
+        for record in state.neighbors.values()
+        if record.discovery_power <= threshold
+    }
+    return NodeState(
+        node_id=state.node_id,
+        alpha=alpha,
+        neighbors=kept,
+        final_power=max(max([record.required_power for record in kept.values()]), 0.0),
+        used_max_power=state.used_max_power,
+        rounds=state.rounds,
+    )
 
 
 def shrink_back(outcome: CBTCOutcome) -> CBTCOutcome:

@@ -15,7 +15,12 @@ import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from repro.geometry.angles import has_gap_greater_than, max_angular_gap
+from repro.geometry.angles import (
+    TWO_PI,
+    has_gap_greater_than,
+    max_angular_gap,
+    max_angular_gap_of_sorted,
+)
 from repro.net.node import NodeId
 
 
@@ -83,8 +88,20 @@ class NodeState:
         return self.used_max_power and self.has_gap()
 
     def has_gap(self, alpha: Optional[float] = None) -> bool:
-        """Whether the discovered directions leave a cone of degree alpha empty."""
-        return has_gap_greater_than(self.directions, self.alpha if alpha is None else alpha)
+        """Whether the discovered directions leave a cone of degree alpha empty.
+
+        The paper's ``gap_alpha`` test (Section 2), which decides boundary
+        nodes for shrink-back (Section 3.1) and re-runs in reconfiguration.
+        Directions from ``Point.angle_to`` lie in ``[0, 2*pi)``, where
+        ``normalize_angle`` is the identity, so sorting them and scanning the
+        gaps gives exactly :func:`has_gap_greater_than`'s answer without its
+        normalization pass; anything else takes that general path.
+        """
+        limit = self.alpha if alpha is None else alpha
+        directions = sorted([record.direction for record in self.neighbors.values()])
+        if directions and 0.0 <= directions[0] and directions[-1] < TWO_PI:
+            return max_angular_gap_of_sorted(directions) > limit + 1e-12
+        return has_gap_greater_than(directions, limit)
 
     def largest_gap(self) -> float:
         """The largest angular gap among discovered directions."""

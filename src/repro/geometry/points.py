@@ -64,8 +64,9 @@ class Point:
 
     def angle_to(self, other: "Point") -> float:
         """Direction from this point towards ``other`` in ``[0, 2*pi)``."""
-        angle = math.atan2(other.y - self.y, other.x - self.x)
-        return angle % (2.0 * math.pi)
+        angle = math.atan2(other.y - self.y, other.x - self.x) % (2.0 * math.pi)
+        # A tiny negative angle rounds up to exactly 2*pi; that direction is 0.
+        return 0.0 if angle == 2.0 * math.pi else angle
 
     def is_close(self, other: "Point", tolerance: float = 1e-9) -> bool:
         """Return ``True`` if the two points coincide up to ``tolerance``."""

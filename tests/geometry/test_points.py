@@ -84,6 +84,14 @@ class TestMetricHelpers:
         angle = direction(Point(0, 0), Point(-1, -1e-9))
         assert 0.0 <= angle < 2 * math.pi
 
+    @pytest.mark.parametrize("dy", [-1e-300, -5e-324, -1e-17])
+    def test_tiny_negative_angle_maps_to_zero_not_two_pi(self, dy):
+        # atan2 returns a tiny negative angle, which ``% 2*pi`` rounds up to
+        # exactly 2*pi; the half-open range requires 0.0 instead.
+        assert math.atan2(dy, 1.0) % (2 * math.pi) == 2 * math.pi
+        assert Point(0, 0).angle_to(Point(1, dy)) == 0.0
+        assert direction(Point(0, 0), Point(1, dy)) == 0.0
+
     def test_centroid(self):
         points = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
         assert centroid(points) == Point(1.0, 1.0)

@@ -15,9 +15,12 @@ against it is exact — same edges, same floats, same order.
 Covered: neighbours, broadcast receivers, ``G_R`` and unit-disk graphs,
 per-node CBTC candidate lists (and the outcome they produce through
 ``run_cbtc_for_node(_candidates=...)``), Gabriel, RNG, the dense Euclidean
-MST, Yao and theta graphs, and the per-pair event detection of
+MST, Yao and theta graphs, the per-pair event detection of
 ``ReconfigurationManager.synchronize`` with
-:func:`oracle_event_detection`, which swaps it in.
+:func:`oracle_event_detection`, which swaps it in, and the bottom-up
+shrink-back of Section 3.1 (one re-sorted prefix per power level) with
+:func:`oracle_shrink_back`, which swaps it in, plus the ``gap_alpha`` test
+through the general normalizing path (:func:`has_gap`).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import networkx as nx
 
+from repro.core import incremental, optimizations, reconfiguration
 from repro.core.cbtc import run_cbtc_for_node
 from repro.core.reconfiguration import (
     AngleChangeEvent,
@@ -36,8 +40,16 @@ from repro.core.reconfiguration import (
     ReconfigurationManager,
     beacon_power_policy,
 )
-from repro.core.state import CBTCOutcome, NeighborRecord
-from repro.geometry.angles import angle_difference, normalize_angle
+from repro.core.state import CBTCOutcome, NeighborRecord, NodeState
+from repro.geometry.angles import (
+    TWO_PI,
+    angle_difference,
+    angular_gaps_of_sorted,
+    arcs_equal,
+    cover,
+    has_gap_greater_than,
+    normalize_angle,
+)
 from repro.net.network import Network
 from repro.net.node import Node, NodeId
 
@@ -51,7 +63,8 @@ def distance(a: Node, b: Node) -> float:
 
 def direction(a: Node, b: Node) -> float:
     """Direction from ``a`` towards ``b`` in ``[0, 2*pi)``."""
-    return math.atan2(b.position.y - a.position.y, b.position.x - a.position.x) % (2.0 * math.pi)
+    angle = math.atan2(b.position.y - a.position.y, b.position.x - a.position.x) % (2.0 * math.pi)
+    return 0.0 if angle == 2.0 * math.pi else angle
 
 
 def _alive(network: Network) -> List[Node]:
@@ -356,3 +369,106 @@ def oracle_event_detection() -> Iterator[None]:
         yield
     finally:
         ReconfigurationManager._detect_events, ReconfigurationManager._build_sync_scratch = saved
+
+
+def has_gap(state: NodeState, alpha: Optional[float] = None) -> bool:
+    """The ``gap_alpha`` test through the general path: normalize every
+    direction, sort, compare the largest gap with ``alpha``."""
+    return has_gap_greater_than(state.directions, state.alpha if alpha is None else alpha)
+
+
+def _coverage_matches(
+    kept_directions: List[float],
+    original_arcs: List[Tuple[float, float]],
+    original_is_full_circle: bool,
+    alpha: float,
+) -> bool:
+    """Whether ``cover(kept_directions)`` equals the original coverage.
+
+    Equivalent to ``arcs_equal(cover(kept_directions, alpha), original_arcs)``
+    but with a gap-based fast path for the overwhelmingly common case where
+    the original coverage is the full circle (every non-boundary node): the
+    prefix covers the full circle iff its largest angular gap is at most
+    ``alpha`` (+ the 1e-12 tolerance ``cover`` uses), and it can only *look*
+    fully covered to ``arcs_equal``'s 1e-9 arc tolerance when exactly one
+    gap exceeds ``alpha`` by less than ~2e-9 — only that rare corner pays
+    for a real arc merge.
+    """
+    if not original_is_full_circle:
+        return arcs_equal(cover(kept_directions, alpha, normalized=True), original_arcs)
+    gaps = angular_gaps_of_sorted(sorted(kept_directions))
+    if max(gaps) <= alpha + 1e-12:
+        return True
+    oversized = [gap for gap in gaps if gap > alpha]
+    if len(oversized) != 1 or oversized[0] - alpha > 2.5e-9:
+        # cover() would produce one arc per oversized gap; more than one arc,
+        # or a single uncovered span wider than arcs_equal's tolerance, can
+        # never compare equal to the full circle.
+        return False
+    return arcs_equal(cover(kept_directions, alpha, normalized=True), original_arcs)
+
+
+def shrink_back_node(state: NodeState) -> NodeState:
+    """Apply the shrink-back operation to a single node's state.
+
+    Neighbours are grouped by their discovery-power tag; starting from the
+    highest tag, whole groups are removed as long as the alpha-coverage of
+    the remaining directions equals the original coverage.  The node's final
+    power is reduced to the highest surviving tag (or the power needed to
+    reach the farthest surviving neighbour, whichever is larger).
+    """
+    if not state.neighbors:
+        return state
+    original_directions = state.directions
+    # The reference coverage is the same for every candidate prefix; compute
+    # its merged arcs once instead of once per keep_count.  Directions stored
+    # in neighbour records come from Point.angle_to, hence are normalized.
+    original_arcs = cover(original_directions, state.alpha, normalized=True)
+    # ``cover`` returns this exact literal for fully covered circles, so the
+    # comparison is an exact one (no tolerance games).
+    original_is_full_circle = original_arcs == [(0.0, TWO_PI)]
+    levels = sorted({record.discovery_power for record in state.neighbors.values()})
+    # Try to keep only the neighbours discovered at the first i levels, for the
+    # smallest i that preserves coverage.
+    for keep_count in range(1, len(levels) + 1):
+        # Discovery tags are exactly the level values, so the prefix set
+        # membership test reduces to a threshold comparison.
+        level_threshold = levels[keep_count - 1]
+        kept_records = [
+            record for record in state.neighbors.values() if record.discovery_power <= level_threshold
+        ]
+        kept_directions = [record.direction for record in kept_records]
+        if _coverage_matches(kept_directions, original_arcs, original_is_full_circle, state.alpha):
+            shrunk = NodeState(
+                node_id=state.node_id,
+                alpha=state.alpha,
+                final_power=max(
+                    max(record.required_power for record in kept_records),
+                    0.0,
+                ),
+                used_max_power=state.used_max_power,
+                rounds=state.rounds,
+            )
+            for record in kept_records:
+                shrunk.add_neighbor(record)
+            return shrunk
+    return state
+
+
+#: Every module that calls ``shrink_back_node`` through a module-level name.
+_SHRINK_BACK_CALL_SITES = (optimizations, reconfiguration, incremental)
+
+
+@contextmanager
+def oracle_shrink_back() -> Iterator[None]:
+    """Make every shrink-back in the block (batch pipeline, reconfiguration
+    events and the incremental splice) the bottom-up :func:`shrink_back_node`
+    above."""
+    saved = [module.shrink_back_node for module in _SHRINK_BACK_CALL_SITES]
+    for module in _SHRINK_BACK_CALL_SITES:
+        module.shrink_back_node = shrink_back_node
+    try:
+        yield
+    finally:
+        for module, original in zip(_SHRINK_BACK_CALL_SITES, saved):
+            module.shrink_back_node = original
