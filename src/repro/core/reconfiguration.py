@@ -512,6 +512,16 @@ class ReconfigurationManager:
             merged.merge(self._builder.dirty_size_hist)
         return merged
 
+    def memoized_topology(
+        self, *, config: Optional[OptimizationConfig] = None
+    ) -> Optional[TopologyResult]:
+        """The memoized :meth:`topology` result if still current (no event
+        applied, no node changed, same config), else None.  Counts no memo hit."""
+        config = config if config is not None else OptimizationConfig.none()
+        if self._touched or self._net_dirty or config != self._last_config:
+            return None
+        return self._last_result
+
     def topology(
         self,
         *,
@@ -532,14 +542,11 @@ class ReconfigurationManager:
         byte-identical results — test-enforced).
         """
         config = config if config is not None else OptimizationConfig.none()
-        dirty = self._touched | self._net_dirty
-        if (
-            self._last_result is not None
-            and not dirty
-            and config == self._last_config
-        ):
+        memoized = self.memoized_topology(config=config)
+        if memoized is not None:
             self.memo_hits += 1
-            return self._last_result
+            return memoized
+        dirty = self._touched | self._net_dirty
         if incremental:
             if self._builder is None or not self._builder.matches(
                 self.network, self.alpha, config

@@ -6,7 +6,8 @@ The schema mirrors the three responsibilities of the contract:
   canonical JSON;
 * ``checkpoints(world, seq, state, snapshot)`` — the newest checkpoint per
   world: the pickled :class:`~repro.service.worlds.World` blob plus the
-  optional canonical observable snapshot;
+  canonical observable snapshot, ``NULL`` when the world had a write
+  pending a synchronize at that point;
 * ``batches(key=0, batch_seq, responses)`` — a single row holding the last
   committed batch's sequence number and responses (the exactly-once
   re-dispatch marker; only the latest batch can ever be retried because

@@ -37,7 +37,6 @@ property rather than a hope.
 from __future__ import annotations
 
 import base64
-import copy
 import dataclasses
 import functools
 import json
@@ -146,7 +145,7 @@ class World:
         )
         self._config = spec.optimizations.config()
         self._route_cache: Optional[SourceRouteCache] = None if naive else SourceRouteCache()
-        self._snapshot_cache: Dict[str, Any] = {}
+        self._snapshot_cache: Dict[str, str] = {}
         self._adjacency: Optional[Dict[NodeId, Dict[NodeId, float]]] = None
         # The durable host's write-ahead hook: called right before a read
         # triggers a synchronize, so the WAL records the sync point (never
@@ -160,11 +159,12 @@ class World:
         self.cache_hits = 0
         self.cache_misses = 0
         # Idempotency tokens of writes already applied to this world, with
-        # the results they produced.  Lives on the world (not the host) so
-        # it rides checkpoints, eviction pickles, and migration blobs — a
-        # retry that lands after a crash-recover or on the world's new
-        # shard still deduplicates.  Never serialized into snapshots.
-        self.applied_tokens: "OrderedDict[str, Any]" = OrderedDict()
+        # the JSON text of the results they produced.  Lives on the world
+        # (not the host) so it rides checkpoints, eviction pickles, and
+        # migration blobs — a retry that lands after a crash-recover or on
+        # the world's new shard still deduplicates.  Never serialized into
+        # snapshots.
+        self.applied_tokens: "OrderedDict[str, str]" = OrderedDict()
         # Subscription diff tracking (sequence numbers + bounded diff
         # ring).  Same placement argument as the tokens: the tracker rides
         # pickles, so sequence continuity survives migration, eviction,
@@ -211,25 +211,31 @@ class World:
         # rehydrate cleanly.
         state.setdefault("applied_tokens", OrderedDict())
         state.setdefault("_tracker", None)
+        # Older blobs hold cache entries and token results as decoded
+        # values; encode them so every entry is JSON text.
+        for name in ("_snapshot_cache", "applied_tokens"):
+            entries = state[name]
+            for key in [key for key, value in entries.items() if not isinstance(value, str)]:
+                entries[key] = json.dumps(entries[key])
         self.__dict__.update(state)
 
     def remember_token(self, token: str, result: Any) -> None:
-        """Record an applied write's idempotency token and its result."""
+        """Record an applied write's idempotency token and its result's JSON text."""
         if token in self.applied_tokens:
             self.applied_tokens.move_to_end(token)
-        self.applied_tokens[token] = copy.deepcopy(result)
+        self.applied_tokens[token] = json.dumps(result)
         while len(self.applied_tokens) > TOKEN_CACHE_MAX_ENTRIES:
             self.applied_tokens.popitem(last=False)
 
     def token_result(self, token: Optional[str]) -> Optional[Any]:
-        """The remembered result for ``token``, or None if never applied."""
+        """A fresh decode of the result remembered for ``token``, or None if never applied."""
         if token is None:
             return None
-        cached = self.applied_tokens.get(token)
-        if cached is None:
+        encoded = self.applied_tokens.get(token)
+        if encoded is None:
             return None
         self.applied_tokens.move_to_end(token)
-        return copy.deepcopy(cached)
+        return json.loads(encoded)
 
     def _notify_sync(self) -> None:
         """Tell the hosting WAL (if any) that a synchronize is about to run."""
@@ -285,22 +291,25 @@ class World:
         """Serve a read from the snapshot cache, or compute and remember it.
 
         ``_refresh`` ran first, so a surviving entry is valid by the dirty-
-        listener argument: no node changed since it was stored.
+        listener argument: no node changed since it was stored.  An entry is
+        the value's JSON text, encoded once by the C encoder, so it is
+        immutable: a hit returns a fresh decode and a miss returns the value
+        it just computed.  No two callers, and no caller and the cache, ever
+        share an object, so mutating a response cannot corrupt a later one.
         """
         if self.naive:
             return compute()
         key = _params_key(op, params)
-        if key in self._snapshot_cache:
+        encoded = self._snapshot_cache.get(key)
+        if encoded is not None:
             self.cache_hits += 1
-            # Hand out a copy, never the stored value: a caller mutating a
-            # response it received must not corrupt what later hits see.
-            return copy.deepcopy(self._snapshot_cache[key])
+            return json.loads(encoded)
         self.cache_misses += 1
         value = compute()
         if len(self._snapshot_cache) >= SNAPSHOT_CACHE_MAX_ENTRIES:
             self._snapshot_cache.pop(next(iter(self._snapshot_cache)))
-        self._snapshot_cache[key] = value
-        return copy.deepcopy(value)
+        self._snapshot_cache[key] = json.dumps(value)
+        return value
 
     # ------------------------------------------------------------------ #
     # Writes
@@ -508,25 +517,49 @@ class World:
         must agree on every byte.
         """
         topology = self._refresh()
+        return self._cached(protocol.SNAPSHOT, params, lambda: self._snapshot_of(topology))
 
-        def compute() -> Dict[str, Any]:
-            return {
-                "world": self.world_id,
-                "scenario": self.spec.name,
-                "seed": self.seed,
-                "nodes": [
-                    {
-                        "id": node.node_id,
-                        "x": node.position.x,
-                        "y": node.position.y,
-                        "alive": node.alive,
-                    }
-                    for node in self.network.nodes
-                ],
-                "topology": graph_to_dict(topology.graph),
-            }
+    def _snapshot_of(self, topology: TopologyResult) -> Dict[str, Any]:
+        return {
+            "world": self.world_id,
+            "scenario": self.spec.name,
+            "seed": self.seed,
+            "nodes": [
+                {
+                    "id": node.node_id,
+                    "x": node.position.x,
+                    "y": node.position.y,
+                    "alive": node.alive,
+                }
+                for node in self.network.nodes
+            ],
+            "topology": graph_to_dict(topology.graph),
+        }
 
-        return self._cached(protocol.SNAPSHOT, params, compute)
+    def reconciled_snapshot_json(self) -> Optional[str]:
+        """The canonical snapshot JSON if the world is reconciled, else None.
+
+        Reconciled means no geometric change is pending (an empty dirty
+        set), so the snapshot is exactly what a ``snapshot`` read would
+        return now.  It comes from the ``snapshot`` cache entry or from the
+        current topology, and moves no cache, counter or memo.  A world with
+        pending changes gets None: its snapshot would force a synchronize
+        that its uninterrupted history does not run at this point.
+        """
+        if self._dirty:
+            return None
+        encoded = self._snapshot_cache.get(_params_key(protocol.SNAPSHOT, {}))
+        if encoded is not None:
+            return canonical_json(json.loads(encoded))
+        if self.naive:
+            topology: Optional[TopologyResult] = build_topology(
+                self.network, self.spec.alpha, config=self._config, outcome=self.manager.outcome
+            )
+        else:
+            topology = self.manager.memoized_topology(config=self._config)
+            if topology is None:
+                return None
+        return canonical_json(self._snapshot_of(topology))
 
     def cache_stats(self) -> Dict[str, Any]:
         """Serving-layer counters (never cached — they change on every read)."""
@@ -633,7 +666,8 @@ class WorldHost:
         #: Per-world write count at the world's newest checkpoint.
         self._checkpointed_writes: Dict[str, int] = {}
         self._batch_seq = 0
-        self._last_batch_responses: Optional[List[Dict[str, Any]]] = None
+        #: JSON text of the last committed batch's responses (re-dispatch answer).
+        self._last_batch_responses: Optional[str] = None
         self._staged: List[StagedRecord] = []
         self._staged_purges: List[str] = []
         self._replaying = False
@@ -810,24 +844,19 @@ class WorldHost:
     # ------------------------------------------------------------------ #
     # Checkpoints and eviction
     # ------------------------------------------------------------------ #
-    def _checkpoint(self, world_id: str, world: World, *, observable: bool) -> Checkpoint:
+    def _checkpoint(self, world_id: str, world: World) -> Checkpoint:
         """Pickle the world *as it is* — forcing a synchronize here would
-        fork its history from the uninterrupted run.  The observable snapshot
-        (periodic checkpoints only) is computed on a throwaway clone so even
-        the snapshot's own refresh cannot touch the serving state."""
+        fork its history from the uninterrupted run.  Periodic, eviction and
+        shutdown checkpoints share one rule for the auditable snapshot: the
+        canonical snapshot JSON of a reconciled world, None for one with
+        pending changes (:meth:`World.reconciled_snapshot_json`)."""
         with timed(
             self.metrics.histogram("wal.checkpoint_seconds"), "wal.checkpoint"
         ):
-            blob = pickle.dumps(world)
-            snapshot_json: Optional[str] = None
-            if observable:
-                clone: World = pickle.loads(blob)
-                try:
-                    snapshot_json = canonical_json(clone.snapshot({}))
-                finally:
-                    clone.close()
             return Checkpoint(
-                seq=self._log_seq.get(world_id, 0), state=blob, snapshot_json=snapshot_json
+                seq=self._log_seq.get(world_id, 0),
+                state=pickle.dumps(world),
+                snapshot_json=world.reconciled_snapshot_json(),
             )
 
     def _due_checkpoints(self) -> List[Tuple[str, Checkpoint]]:
@@ -839,7 +868,7 @@ class WorldHost:
         for world_id, world in self.worlds.items():
             writes = self._write_counts.get(world_id, 0)
             if writes - self._checkpointed_writes.get(world_id, 0) >= self.snapshot_every:
-                due.append((world_id, self._checkpoint(world_id, world, observable=True)))
+                due.append((world_id, self._checkpoint(world_id, world)))
                 self._checkpointed_writes[world_id] = writes
         return due
 
@@ -851,9 +880,7 @@ class WorldHost:
                 self.metrics.histogram("wal.eviction_seconds"), "wal.evict"
             ):
                 world_id, world = self.worlds.popitem(last=False)
-                self.store.save_checkpoint(
-                    world_id, self._checkpoint(world_id, world, observable=False)
-                )
+                self.store.save_checkpoint(world_id, self._checkpoint(world_id, world))
                 self._checkpointed_writes[world_id] = self._write_counts.get(world_id, 0)
                 self._evicted.add(world_id)
                 self.evictions += 1
@@ -878,7 +905,8 @@ class WorldHost:
         with timed(self.metrics.histogram("wal.recovery_seconds"), "wal.recover"):
             self._use_checkpoints = use_checkpoints
             counts = self.store.world_counts()
-            self._batch_seq, self._last_batch_responses = self.store.last_batch()
+            self._batch_seq, responses = self.store.last_batch()
+            self._last_batch_responses = None if responses is None else json.dumps(responses)
             for world_id, (records, writes) in counts.items():
                 self._log_seq[world_id] = records
                 self._write_counts[world_id] = writes
@@ -1165,7 +1193,7 @@ class WorldHost:
         seq = self._batch_seq + 1 if batch_seq is None else batch_seq
         if seq <= self._batch_seq:
             if seq == self._batch_seq and self._last_batch_responses is not None:
-                return copy.deepcopy(self._last_batch_responses)
+                return json.loads(self._last_batch_responses)
             raise RuntimeError(
                 f"batch {seq} was already committed (at {self._batch_seq}) and its "
                 f"responses are no longer retained"
@@ -1177,7 +1205,7 @@ class WorldHost:
                 seq, self._staged, responses, self._due_checkpoints(), self._staged_purges
             )
         self._batch_seq = seq
-        self._last_batch_responses = copy.deepcopy(responses)
+        self._last_batch_responses = json.dumps(responses)
         self._staged = []
         self._staged_purges = []
         self._enforce_live_bound()
@@ -1265,9 +1293,7 @@ class WorldHost:
         """
         if flush and self.store is not None and not self._replaying:
             for world_id, world in self.worlds.items():
-                self.store.save_checkpoint(
-                    world_id, self._checkpoint(world_id, world, observable=False)
-                )
+                self.store.save_checkpoint(world_id, self._checkpoint(world_id, world))
                 self._checkpointed_writes[world_id] = self._write_counts.get(world_id, 0)
         for world in self.worlds.values():
             world.close()

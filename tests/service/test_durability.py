@@ -16,14 +16,18 @@ Three layers of assurance, mirroring the design's trust chain:
   hanging forever (the regression that motivated this PR).
 """
 
+import base64
+import json
+import pickle
 import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.io.results import canonical_json
 from repro.service import protocol
-from repro.service.replay import ShardedReplayer, replay_serial
+from repro.service.replay import ShardedReplayer, collect_snapshots, replay_serial
 from repro.service.sharding import HashRing
 from repro.service.storage import (
     Checkpoint,
@@ -363,6 +367,222 @@ class TestKillAndRecover:
         assert [record["kind"] for record in store.records_after("w", 0)] == ["op"]
         recovered_host = WorldHost(store=store)
         assert recovered_host.recover() == 1
+
+
+# --------------------------------------------------------------------- #
+# Checkpoint snapshots: reconciled worlds only, no throwaway clone
+# --------------------------------------------------------------------- #
+def _op(op, world="w", **params):
+    return {"op": op, "world": world, "params": params}
+
+
+def _create_op(world="w", seed=1):
+    return _op(
+        protocol.CREATE_WORLD,
+        world,
+        scenario="random-waypoint-drift",
+        nodes=15,
+        seed=seed,
+        mover_fraction=0.3,
+    )
+
+
+def _canonical(snapshot_text):
+    """``replay_serial``'s snapshot string in the checkpoint's canonical form."""
+    return canonical_json(json.loads(snapshot_text))
+
+
+class TestCheckpointSnapshots:
+    def test_tracked_world_checkpoints_its_serial_snapshot(self):
+        """Every periodic checkpoint of a tracked (always reconciled) world
+        carries the snapshot the uninterrupted serial run has there."""
+        trace = [_create_op(), _op(protocol.SUB_TRACK)]
+        trace += [_op(protocol.ADVANCE, steps=1) for _ in range(3)]
+        trace += [_op(protocol.APPLY, moves=[[2, 700.0, 300.0]], crashes=[4])]
+        store = MemoryStore()
+        host = WorldHost(store=store, snapshot_every=1)
+        try:
+            for position, request in enumerate(trace, start=1):
+                host.execute(request)
+                if request["op"] == protocol.SUB_TRACK:
+                    continue  # not a write: no checkpoint is due
+                checkpoint = store.latest_checkpoint("w")
+                assert checkpoint.seq == host._log_seq["w"]
+                assert checkpoint.snapshot_json == _canonical(replay_serial(trace[:position])["w"])
+        finally:
+            host.close(flush=False)
+
+    def test_pending_write_checkpoints_without_a_snapshot(self):
+        """An untracked world checkpointed right after a write has pending
+        changes: its checkpoint stores no snapshot, forces no synchronize,
+        and recovery from it (or from the raw log) matches the serial run."""
+        trace = [
+            _create_op(),
+            _op(protocol.QUERY_STATS),
+            _op(protocol.ADVANCE, steps=2),
+            _op(protocol.SNAPSHOT),  # a cached snapshot the write makes stale
+            _op(protocol.APPLY, moves=[[1, 100.0, 900.0]]),
+        ]
+        store = MemoryStore()
+        host = WorldHost(store=store, snapshot_every=1)
+        try:
+            for request in trace[:-1]:
+                host.execute(request)
+            before = host.worlds["w"].cache_stats()
+            host.execute(trace[-1])
+            assert host.worlds["w"]._dirty
+            assert store.latest_checkpoint("w").seq == host._log_seq["w"]
+            assert store.latest_checkpoint("w").snapshot_json is None
+            # The write and its checkpoint moved no cache, counter or memo.
+            assert host.worlds["w"].cache_stats() == dict(before, writes=before["writes"] + 1)
+        finally:
+            host.close(flush=False)
+        serial = replay_serial(trace)
+        for use_checkpoints in (True, False):
+            recovered = WorldHost(store=store)
+            try:
+                recovered.recover(use_checkpoints=use_checkpoints)
+                assert collect_snapshots(recovered) == serial
+            finally:
+                recovered.close(flush=False)
+
+    def test_reconciled_snapshot_moves_no_counter(self):
+        """The checkpoint snapshot comes from the cache entry or the memoized
+        topology and leaves the cache, its counters and the memo as they were."""
+        host = WorldHost()
+        try:
+            host.execute(_create_op())
+            world = host.worlds["w"]
+            before = world.cache_stats()
+            from_topology = world.reconciled_snapshot_json()
+            assert world.cache_stats() == before
+            assert world._snapshot_cache == {}
+            snapshot = host.execute(_op(protocol.SNAPSHOT))["result"]
+            assert from_topology == canonical_json(snapshot)
+            before = world.cache_stats()
+            assert world.reconciled_snapshot_json() == from_topology
+            assert world.cache_stats() == before
+        finally:
+            host.close()
+
+    def test_eviction_checkpoints_follow_the_same_rule(self):
+        """Eviction stores the snapshot of a reconciled world and None for
+        one with pending changes, exactly like a periodic checkpoint."""
+        store = MemoryStore()
+        host = WorldHost(store=store, snapshot_every=100, max_live_worlds=1)
+        try:
+            host.execute(_create_op("clean", seed=1))
+            host.execute(_create_op("dirty", seed=2))  # evicts "clean"
+            host.execute(_op(protocol.ADVANCE, "dirty", steps=2))
+            host.execute(_op(protocol.QUERY_STATS, "clean"))  # evicts "dirty"
+            assert store.latest_checkpoint("dirty").snapshot_json is None
+            expected = _canonical(
+                replay_serial([_create_op("clean", seed=1)])["clean"]
+            )
+            assert store.latest_checkpoint("clean").snapshot_json == expected
+        finally:
+            host.close(flush=False)
+
+    def test_checkpointing_unpickles_nothing(self, monkeypatch):
+        loads = []
+        real_loads = pickle.loads
+
+        def counting_loads(*args, **kwargs):
+            loads.append(1)
+            return real_loads(*args, **kwargs)
+
+        store = MemoryStore()
+        host = WorldHost(store=store, snapshot_every=1)
+        monkeypatch.setattr(pickle, "loads", counting_loads)
+        try:
+            host.execute(_create_op("tracked", seed=1))
+            host.execute(_op(protocol.SUB_TRACK, "tracked"))
+            host.execute(_create_op("plain", seed=2))
+            for _ in range(3):
+                host.execute(_op(protocol.ADVANCE, "tracked", steps=1))
+                host.execute(_op(protocol.ADVANCE, "plain", steps=1))
+                host.execute(_op(protocol.SNAPSHOT, "plain"))
+            checkpoints = host.metrics.histogram("wal.checkpoint_seconds").count
+            assert checkpoints == 9  # every logged op: 2 creates, sub_track, 6 advances
+            assert loads == []
+        finally:
+            host.close(flush=False)
+
+
+# --------------------------------------------------------------------- #
+# State dirs written before cache entries became JSON text
+# --------------------------------------------------------------------- #
+_LEGACY_TRACE = [
+    dict(_create_op(), token="t-create"),
+    dict(_op(protocol.ADVANCE, steps=1), token="t-advance"),
+    _op(protocol.QUERY_STATS),
+    _op(protocol.SNAPSHOT),
+]
+
+
+def _legacy_blob(world):
+    """Pickle ``world`` the way earlier releases did: snapshot-cache entries
+    and idempotency-token results as decoded values, not JSON text."""
+    encoded = (world._snapshot_cache, world.applied_tokens)
+    world._snapshot_cache = {key: json.loads(text) for key, text in encoded[0].items()}
+    world.applied_tokens = type(encoded[1])(
+        (token, json.loads(text)) for token, text in encoded[1].items()
+    )
+    try:
+        assert world._snapshot_cache and world.applied_tokens
+        return pickle.dumps(world)
+    finally:
+        world._snapshot_cache, world.applied_tokens = encoded
+
+
+class TestLegacyBlobs:
+    @staticmethod
+    def _assert_matches_uninterrupted(host):
+        """Same snapshot bytes as a never-interrupted world (read from the
+        rehydrated cache), and a retried write still deduplicates."""
+        expected = replay_serial(_LEGACY_TRACE)["w"]
+        hits = host.worlds["w"].cache_hits
+        assert collect_snapshots(host) == {"w": expected}
+        assert host.worlds["w"].cache_hits == hits + 1
+        retry = host.execute(_LEGACY_TRACE[1])
+        assert retry == {"id": None, "ok": True, "result": {"world": "w", "steps": 1, "writes": 1}}
+        assert host.execute(_LEGACY_TRACE[0])["ok"]  # the create retry, too
+        assert collect_snapshots(host) == {"w": expected}
+
+    def test_legacy_checkpoint_rehydrates(self, store):
+        host = WorldHost(store=store)
+        for request in _LEGACY_TRACE:
+            host.execute(request)
+        blob = _legacy_blob(host.worlds["w"])
+        store.save_checkpoint("w", Checkpoint(seq=host._log_seq["w"], state=blob))
+        host.close(flush=False)
+        recovered = WorldHost(store=store)
+        try:
+            recovered.recover()
+            self._assert_matches_uninterrupted(recovered)
+        finally:
+            recovered.close(flush=False)
+
+    def test_legacy_migration_blob_is_adopted(self):
+        source = WorldHost()
+        for request in _LEGACY_TRACE:
+            source.execute(request)
+        state = base64.b64encode(_legacy_blob(source.worlds["w"])).decode("ascii")
+        source.close()
+        store = MemoryStore()
+        target = WorldHost(store=store)
+        try:
+            assert target.execute(_op(protocol.MIGRATE_IN, state=state))["ok"]
+            self._assert_matches_uninterrupted(target)
+        finally:
+            target.close(flush=False)
+        # The logged migrate_in record replays the same legacy blob.
+        replayed = WorldHost(store=store)
+        try:
+            replayed.recover(use_checkpoints=False)
+            self._assert_matches_uninterrupted(replayed)
+        finally:
+            replayed.close(flush=False)
 
 
 # --------------------------------------------------------------------- #

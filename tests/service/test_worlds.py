@@ -346,6 +346,67 @@ class TestCacheAliasing:
         stats = host.execute(_request(protocol.CACHE_STATS))["result"]
         assert stats["snapshot_cache_hits"] >= 1
 
+    def test_mutating_a_cache_hit_does_not_corrupt_later_hits(self, host):
+        _create(host)
+        host.execute(_request(protocol.SNAPSHOT))  # the miss fills the entry
+        hit = host.execute(_request(protocol.SNAPSHOT))["result"]
+        pristine = results_to_json(hit)
+        hit["nodes"][0]["x"] = -1.0
+        hit["topology"]["edges"].clear()
+        hit["seed"] = None
+        again = host.execute(_request(protocol.SNAPSHOT))["result"]
+        assert results_to_json(again) == pristine
+        stats = host.execute(_request(protocol.CACHE_STATS))["result"]
+        assert (stats["snapshot_cache_hits"], stats["snapshot_cache_misses"]) == (2, 1)
+
+    def test_mutating_a_token_answer_does_not_corrupt_the_retry(self, host):
+        _create(host)
+        write = {"id": 1, "op": protocol.APPLY, "world": "w", "token": "t-1",
+                 "params": {"joins": [[10.0, 20.0]]}}
+        applied = host.execute(write)["result"]
+        pristine = results_to_json(applied)
+        # The applied result and every answer from token_result are the
+        # caller's own objects.
+        applied["joined"].append(99)
+        retried = host.execute(write)["result"]
+        assert results_to_json(retried) == pristine
+        retried["joined"].clear()
+        retried["writes"] = -1
+        assert results_to_json(host.execute(write)["result"]) == pristine
+        stats = host.execute(_request(protocol.CACHE_STATS))["result"]
+        assert stats["writes"] == 1
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_mutating_a_redispatched_batch_does_not_corrupt_the_next(self, backend, tmp_path):
+        from repro.service.storage import MemoryStore, SqliteStore
+
+        store = (
+            MemoryStore() if backend == "memory" else SqliteStore(str(tmp_path / "shard.sqlite"))
+        )
+        host = WorldHost(store=store)
+        try:
+            host.execute_batch([_request(protocol.CREATE_WORLD, nodes=15, seed=3)], batch_seq=1)
+            batch = [_request(protocol.ADVANCE, steps=1), _request(protocol.SNAPSHOT)]
+            first = host.execute_batch(batch, batch_seq=2)
+            pristine = results_to_json(first)
+            first[1]["result"]["nodes"].clear()
+            for _ in range(2):
+                again = host.execute_batch(batch, batch_seq=2)
+                assert results_to_json(again) == pristine
+                again[0]["result"]["steps"] = 7
+                again[1]["result"]["topology"]["edges"].clear()
+            # A recovered host answers the re-dispatch from the store's marker.
+            recovered = WorldHost(store=store)
+            recovered.recover()
+            answer = recovered.execute_batch(batch, batch_seq=2)
+            assert results_to_json(answer) == pristine
+            answer[1]["result"]["nodes"].clear()
+            assert results_to_json(recovered.execute_batch(batch, batch_seq=2)) == pristine
+            recovered.close(flush=False)
+        finally:
+            host.close(flush=False)
+            store.close()
+
 
 class TestFailedCreateCleanup:
     def test_failed_prime_unregisters_every_hook(self, monkeypatch):
