@@ -33,7 +33,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.geometry.angles import angle_difference
+from repro.geometry.angles import angle_difference, max_angular_gap_of_sorted
 from repro.net.network import Network
 from repro.net.node import NodeId
 from repro.core.cbtc import run_cbtc, run_cbtc_for_node
@@ -75,6 +75,19 @@ class AngleChangeEvent:
 
 
 ReconfigurationEvent = object  # union of the three event dataclasses
+
+
+def _covers_full_circle(state: NodeState) -> bool:
+    """The exact full-circle test ``shrink_back_node`` opens with: the
+    sorted directions leave no gap wider than ``alpha`` (+ 1e-12)."""
+    directions = sorted([record.direction for record in state.neighbors.values()])
+    return max_angular_gap_of_sorted(directions) <= state.alpha + 1e-12
+
+
+def _reach_power(state: NodeState) -> float:
+    """The ``final_power`` ``shrink_back_node`` gives a result keeping every
+    record of ``state`` (same expression, same record order)."""
+    return max(max([record.required_power for record in state.neighbors.values()]), 0.0)
 
 
 @dataclass
@@ -137,7 +150,7 @@ def beacon_power_policy(
             power = network.power_model.required_power(radius)
         else:
             power = 0.0
-        if state.is_boundary or state.used_max_power and state.has_gap():
+        if state.is_boundary:
             power = max_power
         powers[node_id] = power
     return powers
@@ -188,6 +201,21 @@ class ReconfigurationManager:
         self._retired_dirty_hist = Histogram(COUNT_BUCKETS)
         self._last_result: Optional[TopologyResult] = None
         self._last_config: Optional[OptimizationConfig] = None
+        # Settled-state certificates: observer -> (state, its highest
+        # discovery tag), recorded for shrink-back results with no alpha-gap
+        # (see _shrink_back).  Valid only while that exact object is the
+        # observer's state and no record of it was removed, re-aimed or
+        # re-tagged since; a pure cache, so pickles leave it out.
+        self._settled: Dict[NodeId, Tuple[NodeState, float]] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        state.pop("_settled", None)
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._settled = {}
 
     def close(self) -> None:
         """Detach this manager from its network's dirty-notification feed.
@@ -236,23 +264,67 @@ class ReconfigurationManager:
         )
         self._known.setdefault(node_id, set()).update(self.outcome.states[node_id].neighbor_ids)
 
+    def _shrink_back(self, observer: NodeId, state: NodeState) -> None:
+        """Replace ``observer``'s state by ``shrink_back_node(state)`` and
+        certify the result when it has no alpha-gap.
+
+        Such a result covers the full circle, so ``state`` did too (a subset
+        of directions never has a smaller largest gap), and in the
+        full-circle case the coverage test of a tag prefix depends on that
+        prefix alone.  The result is the smallest matching prefix of
+        ``state``, so every smaller tag prefix of the result failed that
+        test already and fails it again: the certificate records that fact
+        with the result's highest tag.  A result matched only through the
+        2.5e-9 corner of ``_prefix_verdict`` has a gap and is not certified.
+        """
+        result = shrink_back_node(state)
+        self.outcome.states[observer] = result
+        if _covers_full_circle(result):
+            top = max([record.discovery_power for record in result.neighbors.values()])
+            self._settled[observer] = (result, top)
+        else:
+            self._settled.pop(observer, None)
+
+    def _settled_top(self, observer: NodeId, state: NodeState) -> Optional[float]:
+        """The certified highest tag of ``state``, or None if uncertified."""
+        certificate = self._settled.get(observer)
+        if certificate is None or certificate[0] is not state:
+            return None
+        return certificate[1]
+
     def apply_leave(self, event: LeaveEvent) -> None:
         """Apply a leave event per the paper's rule."""
         self.events_applied += 1
         self._touched.add(event.observer)
         state = self._state(event.observer)
         self._known[event.observer].discard(event.subject)
+        self._settled.pop(event.observer, None)
         previous_power = state.power_to_reach_all()
         state.remove_neighbor(event.subject)
         if state.has_gap():
             self._rerun(event.observer, from_power=previous_power)
 
     def apply_join(self, event: JoinEvent) -> None:
-        """Apply a join event: record the newcomer, then shrink back."""
+        """Apply a join event: record the newcomer, then shrink back.
+
+        ``join_u(v)`` of Section 4 followed by the shrink-back of Section
+        3.1.  When the observer's state is certified (see
+        :meth:`_shrink_back`), the newcomer is not yet a recorded neighbour
+        and its tag lies strictly above the certified highest tag, the
+        certified state is still the smallest matching prefix: the newcomer
+        sits alone in a new top level that shrink-back drops again.  The
+        state then stays as it is, records and order, and only
+        ``final_power`` is recomputed as shrink-back would (a silent
+        distance refresh may have changed a required power).
+        """
         self.events_applied += 1
         self._touched.add(event.observer)
         state = self._state(event.observer)
         self._known[event.observer].add(event.subject)
+        top = self._settled_top(event.observer, state)
+        if top is not None and event.subject not in state.neighbors and event.required_power > top:
+            state.final_power = _reach_power(state)
+            return
         state.add_neighbor(
             NeighborRecord(
                 neighbor=event.subject,
@@ -262,14 +334,23 @@ class ReconfigurationManager:
                 distance=event.distance,
             )
         )
-        self.outcome.states[event.observer] = shrink_back_node(state)
+        self._shrink_back(event.observer, state)
 
     def apply_angle_change(self, event: AngleChangeEvent) -> None:
-        """Apply an angle-change event: update the direction, re-run or shrink."""
+        """Apply an angle-change event: update the direction, re-run or shrink.
+
+        ``angle_change_u(v)`` of Section 4: a re-run when a gap opened below
+        maximum power, else the shrink-back of Section 3.1.  When the
+        updated record's tag is the certified highest tag and the updated
+        state still has no alpha-gap, every smaller tag prefix is unchanged
+        and still fails, so shrink-back would keep every record: only
+        ``final_power`` is recomputed, and the certificate carries over.
+        """
         self.events_applied += 1
         self._touched.add(event.observer)
         state = self._state(event.observer)
         old = state.neighbors.get(event.subject)
+        top = self._settled_top(event.observer, state)
         previous_power = state.power_to_reach_all()
         discovery = old.discovery_power if old is not None else event.required_power
         state.neighbors[event.subject] = NeighborRecord(
@@ -281,8 +362,10 @@ class ReconfigurationManager:
         )
         if state.has_gap() and not state.used_max_power:
             self._rerun(event.observer, from_power=previous_power)
+        elif top is not None and discovery == top and _covers_full_circle(state):
+            state.final_power = _reach_power(state)
         else:
-            self.outcome.states[event.observer] = shrink_back_node(state)
+            self._shrink_back(event.observer, state)
 
     def apply(self, event: ReconfigurationEvent) -> None:
         """Dispatch an event to the appropriate rule."""
@@ -435,7 +518,9 @@ class ReconfigurationManager:
                 elif abs(distance - recorded.distance) > 1e-9:
                     # A silent distance refresh still rewrites the record, so
                     # the incremental topology pipeline must see this node as
-                    # touched even though no event is emitted.
+                    # touched even though no event is emitted.  Directions
+                    # and tags stay, so a settled-state certificate stays
+                    # valid; its fast paths recompute ``final_power``.
                     self._touched.add(observer)
                     state.neighbors[neighbor_id] = NeighborRecord(
                         neighbor=neighbor_id,
@@ -468,6 +553,7 @@ class ReconfigurationManager:
             if node_id not in alive:
                 del self.outcome.states[node_id]
                 self._known.pop(node_id, None)
+                self._settled.pop(node_id, None)
                 self._touched.add(node_id)
         for node_id in sorted(alive):
             if node_id not in self.outcome.states:

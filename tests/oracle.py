@@ -18,9 +18,11 @@ per-node CBTC candidate lists (and the outcome they produce through
 MST, Yao and theta graphs, the per-pair event detection of
 ``ReconfigurationManager.synchronize`` with
 :func:`oracle_event_detection`, which swaps it in, and the bottom-up
-shrink-back of Section 3.1 (one re-sorted prefix per power level) with
-:func:`oracle_shrink_back`, which swaps it in, plus the ``gap_alpha`` test
-through the general normalizing path (:func:`has_gap`).
+shrink-back of Section 3.1 (one re-sorted prefix per power level) and the
+per-event join and angle-change rules of Section 4 (one full shrink-back
+per event, no settled-state certificates) with :func:`oracle_shrink_back`,
+which swaps both in, plus the ``gap_alpha`` test through the general
+normalizing path (:func:`has_gap`).
 """
 
 from __future__ import annotations
@@ -455,6 +457,45 @@ def shrink_back_node(state: NodeState) -> NodeState:
     return state
 
 
+def apply_join(self, event: JoinEvent) -> None:
+    """Apply a join event: record the newcomer, then shrink back."""
+    self.events_applied += 1
+    self._touched.add(event.observer)
+    state = self._state(event.observer)
+    self._known[event.observer].add(event.subject)
+    state.add_neighbor(
+        NeighborRecord(
+            neighbor=event.subject,
+            direction=event.direction,
+            required_power=event.required_power,
+            discovery_power=event.required_power,
+            distance=event.distance,
+        )
+    )
+    self.outcome.states[event.observer] = shrink_back_node(state)
+
+
+def apply_angle_change(self, event: AngleChangeEvent) -> None:
+    """Apply an angle-change event: update the direction, re-run or shrink."""
+    self.events_applied += 1
+    self._touched.add(event.observer)
+    state = self._state(event.observer)
+    old = state.neighbors.get(event.subject)
+    previous_power = state.power_to_reach_all()
+    discovery = old.discovery_power if old is not None else event.required_power
+    state.neighbors[event.subject] = NeighborRecord(
+        neighbor=event.subject,
+        direction=event.new_direction,
+        required_power=event.required_power,
+        discovery_power=discovery,
+        distance=event.distance,
+    )
+    if state.has_gap() and not state.used_max_power:
+        self._rerun(event.observer, from_power=previous_power)
+    else:
+        self.outcome.states[event.observer] = shrink_back_node(state)
+
+
 #: Every module that calls ``shrink_back_node`` through a module-level name.
 _SHRINK_BACK_CALL_SITES = (optimizations, reconfiguration, incremental)
 
@@ -463,12 +504,17 @@ _SHRINK_BACK_CALL_SITES = (optimizations, reconfiguration, incremental)
 def oracle_shrink_back() -> Iterator[None]:
     """Make every shrink-back in the block (batch pipeline, reconfiguration
     events and the incremental splice) the bottom-up :func:`shrink_back_node`
-    above."""
+    above, and every join and angle change the per-event rule above, which
+    runs it once per event (no settled-state fast paths)."""
     saved = [module.shrink_back_node for module in _SHRINK_BACK_CALL_SITES]
+    saved_rules = (ReconfigurationManager.apply_join, ReconfigurationManager.apply_angle_change)
     for module in _SHRINK_BACK_CALL_SITES:
         module.shrink_back_node = shrink_back_node
+    ReconfigurationManager.apply_join = apply_join
+    ReconfigurationManager.apply_angle_change = apply_angle_change
     try:
         yield
     finally:
         for module, original in zip(_SHRINK_BACK_CALL_SITES, saved):
             module.shrink_back_node = original
+        ReconfigurationManager.apply_join, ReconfigurationManager.apply_angle_change = saved_rules

@@ -585,6 +585,89 @@ class TestLegacyBlobs:
             replayed.close(flush=False)
 
 
+    # Worlds pickled before settled-state certificates existed: the manager
+    # has no ``_settled`` attribute.  Certificates are a cache of proofs
+    # about live state objects, so a restored world starts with none and
+    # must still write byte-identically to an uninterrupted one.
+    _CERTIFIED_HEAD = [
+        dict(_create_op(), params=dict(_create_op()["params"], nodes=40)),
+        _op(protocol.ADVANCE, steps=3),
+        _op(protocol.QUERY_STATS),  # reads synchronize
+    ]
+    _CERTIFIED_TAIL = [_op(protocol.ADVANCE, steps=3), _op(protocol.QUERY_STATS)]
+
+    @staticmethod
+    def _parent_manager_blob(world):
+        """Pickle ``world`` with a manager that lacks ``_settled``, as the
+        parent format has it; the live world keeps its certificates."""
+        manager = world.manager
+        certificates = manager.__dict__.pop("_settled")
+        try:
+            assert certificates, "the world should hold certificates to leave out"
+            return pickle.dumps(world)
+        finally:
+            manager._settled = certificates
+
+    def _continue_matches_uninterrupted(self, host):
+        assert host.worlds["w"].manager._settled == {}
+        for request in self._CERTIFIED_TAIL:
+            assert host.execute(request)["ok"]
+        assert host.worlds["w"].manager._settled
+        expected = replay_serial(self._CERTIFIED_HEAD + self._CERTIFIED_TAIL)
+        assert collect_snapshots(host) == expected
+
+    def test_world_pickles_leave_certificates_out(self):
+        host = WorldHost()
+        try:
+            for request in self._CERTIFIED_HEAD:
+                host.execute(request)
+            world = host.worlds["w"]
+            assert world.manager._settled
+            blob = pickle.dumps(world)
+            assert b"_settled" not in blob
+            assert blob == self._parent_manager_blob(world)
+            assert pickle.loads(blob).manager._settled == {}
+        finally:
+            host.close()
+
+    def test_parent_manager_checkpoint_rehydrates(self, store):
+        host = WorldHost(store=store)
+        for request in self._CERTIFIED_HEAD:
+            host.execute(request)
+        blob = self._parent_manager_blob(host.worlds["w"])
+        store.save_checkpoint("w", Checkpoint(seq=host._log_seq["w"], state=blob))
+        host.close(flush=False)
+        recovered = WorldHost(store=store)
+        try:
+            recovered.recover()
+            self._continue_matches_uninterrupted(recovered)
+        finally:
+            recovered.close(flush=False)
+
+    def test_parent_manager_migration_blob_is_adopted_and_replayed(self):
+        source = WorldHost()
+        for request in self._CERTIFIED_HEAD:
+            source.execute(request)
+        state = base64.b64encode(self._parent_manager_blob(source.worlds["w"])).decode("ascii")
+        source.close()
+        store = MemoryStore()
+        target = WorldHost(store=store)
+        try:
+            assert target.execute(_op(protocol.MIGRATE_IN, state=state))["ok"]
+            self._continue_matches_uninterrupted(target)
+        finally:
+            target.close(flush=False)
+        # WAL replay from the logged migrate_in record alone (no checkpoint)
+        # restores the same blob, then re-applies the logged advances.
+        replayed = WorldHost(store=store)
+        try:
+            replayed.recover(use_checkpoints=False)
+            expected = replay_serial(self._CERTIFIED_HEAD + self._CERTIFIED_TAIL)
+            assert collect_snapshots(replayed) == expected
+        finally:
+            replayed.close(flush=False)
+
+
 # --------------------------------------------------------------------- #
 # Process-pool supervision (real SIGKILL)
 # --------------------------------------------------------------------- #
